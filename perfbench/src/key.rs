@@ -2,7 +2,7 @@
 //! Run noise on the pinned 4-slice host, 48-bit full-crypto nonces, and a
 //! correction search of 300 candidates with 2 flips per signature. One
 //! operation is one `measure_key_recovery` campaign on `Fleet::new(1)`; the
-//! run is a closed loop with one client on one thread.
+//! run is two closed-loop clients, one per thread.
 //!
 //! The traced run replays the campaign step by step through the public
 //! functions `measure_key_recovery` calls, timing each call, and checks
@@ -39,8 +39,13 @@ const SEARCH: SearchConfig = SearchConfig {
 };
 /// The victim's long-term key seed inside `measure_key_recovery`.
 const VICTIM_KEY_SEED: u64 = 0x515_0b0b;
-/// Campaigns per second of `--seconds` (about one host second each here).
-const OPS_PER_SECOND: u64 = 1;
+/// Closed-loop clients, one per CPU of the host, each running campaigns
+/// back to back: one client fits too few campaigns in a run to average out
+/// how many signatures each key needs.
+const CLIENTS: usize = 2;
+/// Campaigns per second of `--seconds` (each takes about one host second
+/// per client here).
+const OPS_PER_SECOND: u64 = 2;
 /// Stream tag of the campaign seeds.
 const CAMPAIGN_SEEDS: u64 = u64::from_le_bytes(*b"keyops\0\0");
 
@@ -148,32 +153,68 @@ fn same_outcome(a: &KeyRecoveryOutcome, b: &KeyRecoveryOutcome) -> bool {
         && a.mean_capture_cycles.to_bits() == b.mean_capture_cycles.to_bits()
 }
 
-/// Runs every campaign; with `trace`, through the timed replay.
+/// One campaign's result as a client hands it back.
+struct OpResult {
+    outcome: KeyRecoveryOutcome,
+    host_s: f64,
+    layers: Layers,
+    matches_untraced: bool,
+}
+
+/// One campaign; with `trace`, the timed replay followed by the untimed
+/// campaign it must reproduce.
+fn run_op(spec: &CacheSpec, seed: u64, trace: bool) -> OpResult {
+    let start = Instant::now();
+    let mut layers = Layers::default();
+    if trace {
+        let outcome = traced_campaign(spec, seed, &mut layers);
+        let host_s = start.elapsed().as_secs_f64();
+        let matches_untraced = same_outcome(&outcome, &campaign(spec, seed));
+        OpResult {
+            outcome,
+            host_s,
+            layers,
+            matches_untraced,
+        }
+    } else {
+        let outcome = campaign(spec, seed);
+        let host_s = start.elapsed().as_secs_f64();
+        OpResult {
+            outcome,
+            host_s,
+            layers,
+            matches_untraced: true,
+        }
+    }
+}
+
+/// Runs every campaign on [`CLIENTS`] closed-loop clients; with `trace`,
+/// through the timed replay.
 pub fn run(inputs: &Inputs, trace: bool, setup_s: f64) -> Outcome {
+    let started = Instant::now();
+    // Chunks of one campaign: each client takes the next campaign as soon
+    // as its last one finishes.
+    let results = Fleet::new(CLIENTS).with_chunk(1).run_tasks_with(
+        inputs.seeds.len(),
+        |_| (),
+        |_, i| run_op(&inputs.spec, inputs.seeds[i], trace),
+    );
+    let wall = started.elapsed().as_secs_f64();
+
     let mut digest = Digest::default();
     let mut correct = true;
     let mut without_key = 0u64;
     let mut sim_cycles = 0u64;
-    let mut op_secs = Vec::with_capacity(inputs.seeds.len());
+    let mut op_secs = Vec::with_capacity(results.len());
     let mut layers = Layers::default();
-    let started = Instant::now();
-    for &seed in &inputs.seeds {
-        let op_start = Instant::now();
-        let outcome = if trace {
-            let replayed = traced_campaign(&inputs.spec, seed, &mut layers);
-            op_secs.push(op_start.elapsed().as_secs_f64());
-            if !same_outcome(&replayed, &campaign(&inputs.spec, seed)) {
-                println!("trace mismatch: the replay of campaign seed {seed:#x} differs from measure_key_recovery");
-                correct = false;
-            }
-            replayed
-        } else {
-            let outcome = campaign(&inputs.spec, seed);
-            op_secs.push(op_start.elapsed().as_secs_f64());
-            outcome
-        };
-        digest_outcome(&mut digest, &outcome);
-        sim_cycles += consumed_cycles(&outcome);
+    for (result, seed) in results.iter().zip(&inputs.seeds) {
+        let outcome = &result.outcome;
+        if !result.matches_untraced {
+            println!("trace mismatch: the replay of campaign seed {seed:#x} differs from measure_key_recovery");
+            correct = false;
+        }
+        digest_outcome(&mut digest, outcome);
+        sim_cycles += consumed_cycles(outcome);
         match outcome.recovered_key {
             None => without_key += 1,
             Some(key) if key != inputs.expected || !outcome.matches_ground_truth => {
@@ -185,16 +226,24 @@ pub fn run(inputs: &Inputs, trace: bool, setup_s: f64) -> Outcome {
             }
             Some(_) => {}
         }
+        op_secs.push(result.host_s);
+        layers.merge(&result.layers);
     }
-    let wall = started.elapsed().as_secs_f64();
     crate::print_op_summary(&op_secs);
     println!(
         "campaigns that spent their {SIGNATURES}-signature budget without the key: {without_key}"
     );
     let ops = inputs.seeds.len() as f64;
     let metrics = if trace {
+        // Host time summed over the clients; the untimed comparison
+        // campaigns are outside it.
         let host_s: f64 = op_secs.iter().sum();
-        layers.metrics(host_s, layers.covered().as_secs_f64(), ops / host_s, host_s)
+        layers.metrics(
+            host_s,
+            layers.covered().as_secs_f64(),
+            CLIENTS as f64 * ops / host_s,
+            host_s,
+        )
     } else {
         vec![
             ("setup_s", setup_s),

@@ -109,14 +109,30 @@ impl Layers {
         self.sim_cycles += cycles;
     }
 
-    /// Folds in the machine and pruning counts of `other`.
-    pub fn add_machine_counts(&mut self, other: &Layers) {
+    /// Adds every time and count of `other`.
+    pub fn merge(&mut self, other: &Layers) {
+        self.machine += other.machine;
+        self.evsets += other.evsets;
+        self.probe += other.probe;
+        self.core += other.core;
+        self.recovery += other.recovery;
+        self.fleet_busy += other.fleet_busy;
+        self.fleet_idle += other.fleet_idle;
         self.accesses += other.accesses;
         self.noise_events += other.noise_events;
         self.tenant_accesses += other.tenant_accesses;
         self.victim_runs += other.victim_runs;
         self.sim_cycles += other.sim_cycles;
+        self.pool_builds += other.pool_builds;
+        self.pool_acquisitions += other.pool_acquisitions;
         self.backtracks += other.backtracks;
+        self.signatures_captured += other.signatures_captured;
+        self.signatures_used += other.signatures_used;
+        self.candidates_examined += other.candidates_examined;
+        self.candidates_tested += other.candidates_tested;
+        self.chunks += other.chunks;
+        self.record_bytes += other.record_bytes;
+        self.quarantined += other.quarantined;
     }
 
     /// Host time inside the timed layer calls.

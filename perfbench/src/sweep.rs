@@ -316,10 +316,9 @@ pub fn run(inputs: Inputs, trace: bool, setup_s: f64) -> Outcome {
         wall += round_wall;
         if trace {
             let pool = round.source.pool().stats();
-            layers.fleet_busy += tally.layers.fleet_busy;
             layers.fleet_idle +=
                 (round_wall * WORKERS as u32).saturating_sub(tally.layers.fleet_busy);
-            layers.add_machine_counts(&tally.layers);
+            layers.merge(&tally.layers);
             layers.pool_builds += pool.builds;
             layers.pool_acquisitions += pool.acquisitions;
             layers.chunks += outcome.chunks_run;
