@@ -1,8 +1,9 @@
 //! End-to-end and per-layer benchmark of the llc-feasible workspace.
 //!
-//! Two workloads, each run in its own process over a list of operations
-//! fixed by `--seed` and `--seconds`: [`key`] (Step 4 closed to the private
-//! key) and [`sweep`] (a pruning campaign on the campaign engine). A run
+//! Three workloads, each run in its own process over a list of operations
+//! fixed by `--seed` and `--seconds`: [`identify`] (Step 2, target-set
+//! identification), [`key`] (Step 4 closed to the private key) and
+//! [`sweep`] (a pruning campaign on the campaign engine). A run
 //! prints one summary line, a digest of every simulated statistic it
 //! produced, and as its last line the JSON result of [`report::result_line`].
 //! See the README for the workloads, the metrics and how to re-check the
@@ -10,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod identify;
 pub mod json;
 pub mod key;
 pub mod report;
@@ -18,14 +20,22 @@ pub mod sweep;
 
 use llc_machine::MachineStats;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Names of the workloads, as `--workload` takes them.
-pub const WORKLOADS: [&str; 2] = ["key", "sweep"];
+pub const WORKLOADS: [&str; 3] = ["identify", "key", "sweep"];
 
 /// Where runs keep their checkpoint directories while they run.
 pub fn scratch_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scratch")
+}
+
+/// Runs `f` and charges its host time to `acc`.
+pub fn timed<R>(acc: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let out = f();
+    *acc += start.elapsed();
+    out
 }
 
 /// Prints the operation count and host-time percentiles of a run's
@@ -56,6 +66,10 @@ pub struct Layers {
     pub machine: Duration,
     /// Candidate-pool allocation and oracle grouping.
     pub evsets: Duration,
+    /// Target-set classifier training (`sigproc` and `ml` inside).
+    pub train: Duration,
+    /// Target-set scans (`probe` and `sigproc` inside).
+    pub scan: Duration,
     /// Monitoring signing windows (`capture_signing_run`).
     pub probe: Duration,
     /// Boundary-classifier training, scoring and soft decoding.
@@ -82,6 +96,8 @@ pub struct Layers {
     pub pool_acquisitions: u64,
     /// Pruning backtracks.
     pub backtracks: u64,
+    /// Traces the target-set scans collected.
+    pub scan_traces: u64,
     /// Signing windows monitored, training windows included.
     pub signatures_captured: u64,
     /// Signatures the correction search attacked before the key verified.
@@ -113,6 +129,8 @@ impl Layers {
     pub fn merge(&mut self, other: &Layers) {
         self.machine += other.machine;
         self.evsets += other.evsets;
+        self.train += other.train;
+        self.scan += other.scan;
         self.probe += other.probe;
         self.core += other.core;
         self.recovery += other.recovery;
@@ -126,6 +144,7 @@ impl Layers {
         self.pool_builds += other.pool_builds;
         self.pool_acquisitions += other.pool_acquisitions;
         self.backtracks += other.backtracks;
+        self.scan_traces += other.scan_traces;
         self.signatures_captured += other.signatures_captured;
         self.signatures_used += other.signatures_used;
         self.candidates_examined += other.candidates_examined;
@@ -137,7 +156,7 @@ impl Layers {
 
     /// Host time inside the timed layer calls.
     pub fn covered(&self) -> Duration {
-        self.machine + self.evsets + self.probe + self.core + self.recovery
+        self.machine + self.evsets + self.train + self.scan + self.probe + self.core + self.recovery
     }
 
     /// The per-layer metrics. Layer times are shares of `host_s`, the
@@ -157,6 +176,8 @@ impl Layers {
             ("trace.coverage_pct", 100.0 * covered_s / host_s),
             ("machine.build_pct", pct(self.machine)),
             ("evsets.candidates_pct", pct(self.evsets)),
+            ("core.train_pct", pct(self.train)),
+            ("core.scan_pct", pct(self.scan)),
             ("probe.capture_pct", pct(self.probe)),
             ("core.extract_pct", pct(self.core)),
             ("recovery.search_pct", pct(self.recovery)),
@@ -174,6 +195,7 @@ impl Layers {
             ("machine.pool_builds", self.pool_builds as f64),
             ("machine.pool_acquisitions", self.pool_acquisitions as f64),
             ("evsets.backtracks", self.backtracks as f64),
+            ("core.scan_traces", self.scan_traces as f64),
             ("probe.signatures_captured", self.signatures_captured as f64),
             ("recovery.signatures_used", self.signatures_used as f64),
             (

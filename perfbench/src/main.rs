@@ -1,28 +1,30 @@
 //! Benchmark command. Run one workload:
 //!
 //! ```text
-//! perfbench --workload key|sweep --seed N --seconds S --trace 0|1
+//! perfbench --workload identify|key|sweep --seed N --seconds S --trace 0|1
 //! ```
 //!
-//! or repeat one in fresh processes and print each metric's spread:
+//! or run one untraced on seeds 1..=10 in fresh processes and print each
+//! metric's spread:
 //!
 //! ```text
-//! perfbench spread --workload key|sweep [--runs 10] [--first-seed 1] [--seconds 45] [--trace 0|1]
+//! perfbench spread --workload identify|key|sweep [--seconds 40]
 //! ```
 
-use perfbench::{key, report, spread, sweep, WORKLOADS};
+use perfbench::{identify, key, report, spread, sweep, WORKLOADS};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Set-up is repeated this many times per run and its median reported, so
-/// one slow first touch does not decide `setup_s`.
+/// Set-up runs this many times per run and `setup_s` is their median, the
+/// first timed from process start: one set-up timed alone moved by up to
+/// 29% between sets of ten runs.
 const SETUP_REPEATS: usize = 9;
 
 /// Upper bound on `--seconds`: the operation list grows with it.
 const MAX_SECONDS: u64 = 600;
 
-const USAGE: &str = "usage: perfbench --workload key|sweep --seed N --seconds S --trace 0|1\n       \
-                     perfbench spread --workload key|sweep [--runs R] [--first-seed N] [--seconds S] [--trace 0|1]";
+const USAGE: &str = "usage: perfbench --workload identify|key|sweep --seed N --seconds S --trace 0|1\n       \
+                     perfbench spread --workload identify|key|sweep [--seconds S]";
 
 #[derive(Debug)]
 struct Args {
@@ -31,7 +33,6 @@ struct Args {
     seed: u64,
     seconds: u64,
     trace: bool,
-    runs: u64,
 }
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -43,9 +44,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         spread,
         workload: String::new(),
         seed: 1,
-        seconds: 45,
+        seconds: 40,
         trace: false,
-        runs: 10,
     };
     let (mut seen_seed, mut seen_seconds, mut seen_trace) = (false, false, false);
     let mut iter = rest.iter();
@@ -58,15 +58,15 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         };
         match flag.as_str() {
             "--workload" => parsed.workload = value.clone(),
-            "--seed" | "--first-seed" => {
-                parsed.seed = number()?;
-                seen_seed = true;
-            }
             "--seconds" => {
                 parsed.seconds = number()?;
                 seen_seconds = true;
             }
-            "--trace" => {
+            "--seed" if !spread => {
+                parsed.seed = number()?;
+                seen_seed = true;
+            }
+            "--trace" if !spread => {
                 parsed.trace = match value.as_str() {
                     "0" => false,
                     "1" => true,
@@ -74,7 +74,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 };
                 seen_trace = true;
             }
-            "--runs" if spread => parsed.runs = number()?,
             _ => return Err(format!("unknown argument {flag}")),
         }
     }
@@ -94,12 +93,14 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 }
 
 enum Inputs {
+    Identify(Box<identify::Inputs>),
     Key(Box<key::Inputs>),
     Sweep(sweep::Inputs),
 }
 
 fn setup(args: &Args) -> Inputs {
     match args.workload.as_str() {
+        "identify" => Inputs::Identify(Box::new(identify::setup(args.seed, args.seconds))),
         "key" => Inputs::Key(Box::new(key::setup(args.seed, args.seconds))),
         _ => Inputs::Sweep(sweep::setup(args.seed, args.seconds)),
     }
@@ -117,14 +118,7 @@ fn main() -> ExitCode {
     };
     if args.spread {
         let exe = std::env::current_exe().expect("the running executable has a path");
-        return match spread::run(
-            &exe,
-            &args.workload,
-            args.seed,
-            args.runs,
-            args.seconds,
-            args.trace,
-        ) {
+        return match spread::run(&exe, &args.workload, args.seconds) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -133,9 +127,8 @@ fn main() -> ExitCode {
         };
     }
 
-    // The first set-up is timed from process start; the previous inputs are
-    // dropped before each repeat, outside the timing, because they share the
-    // repeat's checkpoint directory.
+    // The previous inputs are dropped before each repeat, outside the
+    // timing, because they share the repeat's checkpoint directories.
     let mut setup_secs = Vec::with_capacity(SETUP_REPEATS);
     let mut inputs = None;
     for repeat in 0..SETUP_REPEATS {
@@ -148,8 +141,10 @@ fn main() -> ExitCode {
         inputs = Some(setup(&args));
         setup_secs.push(start.elapsed().as_secs_f64());
     }
-    let setup_s = report::median(&setup_secs);
+    setup_secs.sort_by(f64::total_cmp);
+    let setup_s = report::nearest_rank(&setup_secs, 50.0);
     let outcome = match inputs.expect("set up at least once") {
+        Inputs::Identify(inputs) => identify::run(&inputs, args.trace, setup_s),
         Inputs::Key(inputs) => key::run(&inputs, args.trace, setup_s),
         Inputs::Sweep(inputs) => sweep::run(inputs, args.trace, setup_s),
     };

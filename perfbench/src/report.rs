@@ -55,11 +55,13 @@ pub const END_TO_END: [Metric; 4] = [
 /// layer the workload never calls reads 0 (see the README's layer table).
 /// Host time per layer is a share of the traced operations' host time, so
 /// the shares of one run add up to `trace.coverage_pct`.
-pub const PER_LAYER: [Metric; 25] = [
+pub const PER_LAYER: [Metric; 28] = [
     m("trace.ops_per_s", "1/s", Higher),
     m("trace.coverage_pct", "%", Higher),
     m("machine.build_pct", "%", Lower),
     m("evsets.candidates_pct", "%", Lower),
+    m("core.train_pct", "%", Lower),
+    m("core.scan_pct", "%", Lower),
     m("probe.capture_pct", "%", Lower),
     m("core.extract_pct", "%", Lower),
     m("recovery.search_pct", "%", Lower),
@@ -74,6 +76,7 @@ pub const PER_LAYER: [Metric; 25] = [
     m("machine.pool_builds", "count", Lower),
     m("machine.pool_acquisitions", "count", Lower),
     m("evsets.backtracks", "count", Lower),
+    m("core.scan_traces", "count", Lower),
     m("probe.signatures_captured", "count", Lower),
     m("recovery.signatures_used", "count", Lower),
     m("recovery.candidates_examined", "count", Lower),
@@ -183,13 +186,6 @@ pub fn tail(sorted: &[f64]) -> Option<(f64, f64)> {
         "tail {value} below median {median}: samples not sorted"
     );
     Some((pct, value))
-}
-
-/// Median of unsorted samples (nearest rank).
-pub fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    nearest_rank(&sorted, 50.0)
 }
 
 /// FNV-1a over 64-bit words: a digest of simulated statistics that two

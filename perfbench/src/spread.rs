@@ -1,11 +1,14 @@
-//! The spread command: runs one workload in fresh processes, one seed
-//! each, and prints every metric's median, quartiles and spread (the
+//! The spread command: runs one workload untraced in fresh processes, one
+//! for each of the seeds [`SEEDS`], and prints every metric's median, quartiles and spread (the
 //! distance between the quartiles as a share of the median), so the bounds
 //! in `BENCHMARK.json` can be re-checked on another host.
 
 use crate::json::{self, Value};
 use std::path::Path;
 use std::process::Command;
+
+/// The seeds a spread runs, one process each.
+pub const SEEDS: std::ops::RangeInclusive<u64> = 1..=10;
 
 /// Median and quartiles as Python's `statistics.median` and
 /// `statistics.quantiles(values, n=4)` (the default, exclusive method)
@@ -43,13 +46,7 @@ struct RunResult {
     metrics: Vec<(String, f64, String)>,
 }
 
-fn run_once(
-    exe: &Path,
-    workload: &str,
-    seed: u64,
-    seconds: u64,
-    trace: bool,
-) -> Result<RunResult, String> {
+fn run_once(exe: &Path, workload: &str, seed: u64, seconds: u64) -> Result<RunResult, String> {
     let output = Command::new(exe)
         .args([
             "--workload",
@@ -58,8 +55,9 @@ fn run_once(
             &seed.to_string(),
             "--seconds",
             &seconds.to_string(),
+            "--trace",
+            "0",
         ])
-        .args(["--trace", if trace { "1" } else { "0" }])
         .output()
         .map_err(|e| format!("cannot start {}: {e}", exe.display()))?;
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -114,22 +112,12 @@ fn run_once(
     })
 }
 
-/// Runs `workload` once per seed in `first_seed..first_seed + runs` with
-/// the executable `exe`, sequentially, and prints the table.
-pub fn run(
-    exe: &Path,
-    workload: &str,
-    first_seed: u64,
-    runs: u64,
-    seconds: u64,
-    trace: bool,
-) -> Result<(), String> {
-    if runs < 2 {
-        return Err("spread needs at least two runs".to_string());
-    }
+/// Runs `workload` once per seed of [`SEEDS`] with the executable `exe`,
+/// sequentially, and prints the table.
+pub fn run(exe: &Path, workload: &str, seconds: u64) -> Result<(), String> {
     let mut results = Vec::new();
-    for seed in first_seed..first_seed + runs {
-        let r = run_once(exe, workload, seed, seconds, trace)?;
+    for seed in SEEDS {
+        let r = run_once(exe, workload, seed, seconds)?;
         println!(
             "seed {:>4}  correct {}  attempted {}  failed {}  digest {}",
             r.seed, r.correct, r.attempted, r.failed, r.digest
