@@ -222,44 +222,23 @@ impl Digest {
     }
 }
 
-#[repr(C)]
-struct TimeVal {
-    sec: i64,
-    usec: i64,
-}
-
-/// `struct rusage` of 64-bit Linux: two timevals and fourteen longs.
-#[repr(C)]
-struct RUsage {
-    utime: TimeVal,
-    stime: TimeVal,
-    maxrss: i64,
-    rest: [i64; 13],
-}
-
-extern "C" {
-    fn getrusage(who: i32, usage: *mut RUsage) -> i32;
-}
-
-/// Peak resident set size of this process in MiB (`ru_maxrss`).
+/// Peak resident set size of this process in MiB: `VmHWM` of
+/// `/proc/self/status`. Unlike `getrusage`'s `ru_maxrss`, which Linux
+/// carries across `exec`, it does not report the launching process (such
+/// as `cargo run`) when that one was larger.
 ///
 /// # Panics
 ///
-/// Panics if `getrusage` fails, which it cannot for `RUSAGE_SELF`.
+/// Panics if `/proc/self/status` cannot be read or has no `VmHWM` line.
 pub fn peak_rss_mb() -> f64 {
-    const RUSAGE_SELF: i32 = 0;
-    let mut usage = RUsage {
-        utime: TimeVal { sec: 0, usec: 0 },
-        stime: TimeVal { sec: 0, usec: 0 },
-        maxrss: 0,
-        rest: [0; 13],
-    };
-    // SAFETY: `usage` is a live, writable `struct rusage` with the 64-bit
-    // Linux layout, and RUSAGE_SELF is a valid `who`.
-    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
-    assert_eq!(rc, 0, "getrusage(RUSAGE_SELF) failed");
-    // Linux reports ru_maxrss in KiB.
-    usage.maxrss as f64 / 1024.0
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| value.trim().strip_suffix("kB"))
+        .and_then(|value| value.trim().parse().ok())
+        .expect("/proc/self/status has a VmHWM line in kB");
+    kib / 1024.0
 }
 
 #[cfg(test)]
